@@ -4,10 +4,6 @@
 #include <bit>
 #include <cmath>
 
-#if defined(PFM_NATIVE) && defined(__AVX2__) && defined(__BMI2__)
-#include <immintrin.h>
-#endif
-
 #if defined(__SSE2__) || defined(_M_X64)
 #define PFM_TAGE_SSE2 1
 #include <emmintrin.h>
@@ -196,35 +192,8 @@ TagePredictor::predict(Addr pc)
     const std::uint16_t* tags = tagPlane();
     const unsigned n = params_.num_tables;
     std::uint64_t hits = 0;
-#if defined(PFM_NATIVE) && defined(__AVX2__) && defined(__BMI2__)
-    if (n <= 16) {
-        // SIMD multi-bank tag compare (opt-in via -DPFM_NATIVE=ON): the
-        // gathered per-bank tags and the wanted tags compare in one
-        // 16-lane op; lanes past n are padded to mismatch, so the mask
-        // is bit-identical to the scalar loop below.
-        alignas(32) std::uint16_t got[16];
-        alignas(32) std::uint16_t want[16];
-        for (unsigned t = 0; t < n; ++t) {
-            got[t] = tags[cached_idx_[t]];
-            want[t] = cached_tag_[t];
-        }
-        for (unsigned t = n; t < 16; ++t) {
-            got[t] = 0;
-            want[t] = 1;
-        }
-        const __m256i eq = _mm256_cmpeq_epi16(
-            _mm256_load_si256(reinterpret_cast<const __m256i*>(got)),
-            _mm256_load_si256(reinterpret_cast<const __m256i*>(want)));
-        hits = _pext_u32(
-            static_cast<std::uint32_t>(_mm256_movemask_epi8(eq)),
-            0x55555555u);
-    } else
-#endif
-    {
-        for (unsigned t = 0; t < n; ++t)
-            hits |= std::uint64_t{tags[cached_idx_[t]] == cached_tag_[t]}
-                    << t;
-    }
+    for (unsigned t = 0; t < n; ++t)
+        hits |= std::uint64_t{tags[cached_idx_[t]] == cached_tag_[t]} << t;
 
     if (hits) {
         const int provider = 63 - std::countl_zero(hits);

@@ -2,9 +2,6 @@
 
 #include <array>
 #include <cstdio>
-#include <cstdlib>
-
-#include <sys/mman.h>
 
 #include "common/log.h"
 #include "common/lz.h"
@@ -63,22 +60,6 @@ ckptCrc32(const void* data, std::size_t n) noexcept
     return crc ^ 0xFFFFFFFFu;
 }
 
-bool
-ckptCompressEnabled(bool store_mode)
-{
-    const char* env = std::getenv("PFM_CKPT_COMPRESS");
-    if (env && *env)
-        return std::string(env) != "0";
-    return store_mode;
-}
-
-bool
-ckptStoreEnabled()
-{
-    const char* env = std::getenv("PFM_CKPT_STORE");
-    return !env || std::string(env) != "0";
-}
-
 // ---------------------------------------------------------------- writer
 
 namespace {
@@ -107,7 +88,7 @@ appendStr(std::vector<std::uint8_t>& out, const std::string& s)
 
 /**
  * Write-to-temp + atomic rename: a run killed (or a disk filled) mid
- * write must never leave a truncated image at the final path, where a
+ * write must never leave a truncated manifest at the final path, where a
  * later sharded leg would trip over it as corruption. The temp is
  * removed on every failure path, so the worst crash artifact is a
  * stale .tmp no reader ever opens.
@@ -131,14 +112,19 @@ writeFileAtomic(const std::string& path,
     }
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
-        pfm_fatal("checkpoint '%s': cannot rename temp image into place",
+        pfm_fatal("checkpoint '%s': cannot rename temp manifest into place",
                   path.c_str());
     }
 }
 
 } // namespace
 
-CkptWriter::CkptWriter(std::string path) : path_(std::move(path)) {}
+CkptWriter::CkptWriter(std::string path, std::string store_subdir)
+    : path_(std::move(path)),
+      store_rel_(store_subdir.empty() ? kCkptDefaultStore
+                                      : std::move(store_subdir))
+{
+}
 
 void
 CkptWriter::writeHeader(const CkptHeader& h)
@@ -187,70 +173,41 @@ CkptWriter::finish()
                section_.c_str());
 
     std::vector<std::uint8_t> file;
-    const bool store = !store_rel_.empty();
+    appendVal(file, kCkptManifestMagic);
+    appendVal(file, kCkptFormatVersion);
+    appendVal(file, hdr_.fingerprint);
+    appendStr(file, hdr_.workload);
+    appendStr(file, hdr_.component);
+    appendVal(file, hdr_.retired);
+    appendStr(file, store_rel_);
+    appendVal(file, static_cast<std::uint32_t>(secs_.size()));
 
-    if (!store) {
-        // Plain image: header, then self-describing v3 section frames.
-        appendVal(file, kCkptMagic);
-        appendVal(file, kCkptFormatVersion);
-        appendVal(file, hdr_.fingerprint);
-        appendStr(file, hdr_.workload);
-        appendStr(file, hdr_.component);
-        appendVal(file, hdr_.retired);
-    } else {
-        appendVal(file, kCkptManifestMagic);
-        appendVal(file, kCkptFormatVersion);
-        appendVal(file, hdr_.fingerprint);
-        appendStr(file, hdr_.workload);
-        appendStr(file, hdr_.component);
-        appendVal(file, hdr_.retired);
-        appendStr(file, store_rel_);
-        appendVal(file, static_cast<std::uint32_t>(secs_.size()));
-    }
-
-    const std::string store_dir =
-        store ? ckptDirOf(path_) + "/" + store_rel_ : std::string();
+    // Blobs are published before the manifest that names them, so a
+    // manifest at the final path never references a missing blob.
+    const std::string store_dir = ckptDirOf(path_) + "/" + store_rel_;
     std::vector<std::uint8_t> packed;
     for (const Sec& sec : secs_) {
         const std::uint8_t* raw = out_.data() + sec.start;
-        // Compressed form is used only when it actually wins; the flags
-        // byte keeps the format self-describing either way.
-        const std::uint8_t* stored = raw;
-        std::size_t stored_len = sec.len;
-        std::uint8_t flags = 0;
-        if (compress_) {
-            lz::compress(raw, sec.len, packed);
-            if (packed.size() < sec.len) {
-                stored = packed.data();
-                stored_len = packed.size();
-                flags = kCkptBlobCompressed;
-            }
-        }
-        if (!store) {
-            appendStr(file, sec.name);
-            appendVal(file, static_cast<std::uint64_t>(stored_len));
-            appendVal(file, ckptCrc32(stored, stored_len));
-            appendVal(file, flags);
-            appendVal(file, static_cast<std::uint64_t>(sec.len));
-            appendBytes(file, stored, stored_len);
-        } else {
-            CkptBlobMeta meta;
-            meta.raw_len = sec.len;
-            meta.raw_crc = ckptCrc32(raw, sec.len);
-            meta.flags = flags;
-            meta.stored_len = stored_len;
-            std::uint64_t hash = ckptHash64(raw, sec.len);
-            ckptStorePut(store_dir, hash, meta, stored, path_, sec.name);
-            appendStr(file, sec.name);
-            appendVal(file, hash);
-            appendVal(file, meta.raw_len);
-            appendVal(file, meta.raw_crc);
-            appendVal(file, meta.flags);
-            appendVal(file, meta.stored_len);
-        }
+        // The compressed form is stored only when it actually wins; the
+        // flags byte keeps the blob self-describing either way.
+        lz::compress(raw, sec.len, packed);
+        const bool packs = packed.size() < sec.len;
+        CkptBlobMeta meta;
+        meta.raw_len = sec.len;
+        meta.raw_crc = ckptCrc32(raw, sec.len);
+        meta.flags = packs ? kCkptBlobCompressed : 0;
+        meta.stored_len = packs ? packed.size() : sec.len;
+        const std::uint64_t hash = ckptHash64(raw, sec.len);
+        ckptStorePut(store_dir, hash, meta, packs ? packed.data() : raw,
+                     path_, sec.name);
+        appendStr(file, sec.name);
+        appendVal(file, hash);
+        appendVal(file, meta.raw_len);
+        appendVal(file, meta.raw_crc);
+        appendVal(file, meta.flags);
+        appendVal(file, meta.stored_len);
     }
-    if (store)
-        appendVal(file, ckptCrc32(file.data(), file.size()));
+    appendVal(file, ckptCrc32(file.data(), file.size()));
 
     writeFileAtomic(path_, file);
 }
@@ -288,37 +245,13 @@ CkptReader::CkptReader(std::string path) : path_(std::move(path))
     long size = std::ftell(file.f);
     if (size < 0 || std::fseek(file.f, 0, SEEK_SET) != 0)
         pfm_fatal("checkpoint '%s': cannot determine size", path_.c_str());
-    size_ = static_cast<std::size_t>(size);
-    if (size_ != 0) {
-        void* m = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE,
-                         ::fileno(file.f), 0);
-        if (m != MAP_FAILED) {
-            // Owned by map_ from here; ~CkptReader munmaps. The mapping
-            // outlives the FILE* by design (a private file mapping stays
-            // valid after close), and concurrent readers of the same
-            // image share kernel page cache.
-            map_ = m;
-            data_ = static_cast<const std::uint8_t*>(m);
-        }
-    }
-    if (!map_) {
-        // mmap unavailable (exotic filesystem) or empty file: fall back
-        // to a heap copy.
-        buf_.resize(size_);
-        std::size_t got = buf_.empty()
-            ? 0
-            : std::fread(buf_.data(), 1, buf_.size(), file.f);
-        if (got != buf_.size())
-            pfm_fatal("checkpoint '%s': short read (%zu of %zu bytes)",
-                      path_.c_str(), got, buf_.size());
-        data_ = buf_.data();
-    }
-}
-
-CkptReader::~CkptReader()
-{
-    if (map_)
-        ::munmap(map_, size_);
+    buf_.resize(static_cast<std::size_t>(size));
+    std::size_t got = buf_.empty()
+        ? 0
+        : std::fread(buf_.data(), 1, buf_.size(), file.f);
+    if (got != buf_.size())
+        pfm_fatal("checkpoint '%s': short read (%zu of %zu bytes)",
+                  path_.c_str(), got, buf_.size());
 }
 
 void
@@ -333,9 +266,9 @@ CkptReader::fail(const std::string& what) const
 void
 CkptReader::rawBytes(void* p, std::size_t n, const char* what)
 {
-    if (n > size_ - pos_)
+    if (n > buf_.size() - pos_)
         fail(std::string("truncated while reading ") + what);
-    std::memcpy(p, data_ + pos_, n);
+    std::memcpy(p, buf_.data() + pos_, n);
     pos_ += n;
 }
 
@@ -359,9 +292,9 @@ std::string
 CkptReader::rawString(const char* what)
 {
     std::uint32_t len = rawU32(what);
-    if (len > size_ - pos_)
+    if (len > buf_.size() - pos_)
         fail(std::string("truncated while reading ") + what);
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), len);
+    std::string s(reinterpret_cast<const char*>(buf_.data() + pos_), len);
     pos_ += len;
     return s;
 }
@@ -370,30 +303,11 @@ CkptHeader
 CkptReader::readHeader()
 {
     std::uint64_t magic = rawU64("header magic");
-    if (magic == kCkptManifestMagic) {
-        mode_ = Mode::kManifest;
-        return readManifest();
-    }
-    if (magic != kCkptMagic)
+    if (magic == kCkptMagic)
+        fail("whole-image checkpoint from an older build; only manifest + "
+             "blob-store checkpoints are readable, re-save it");
+    if (magic != kCkptManifestMagic)
         fail("bad magic, not a PFM checkpoint");
-    CkptHeader h;
-    h.version = rawU32("header version");
-    if (h.version < kCkptMinReadVersion || h.version > kCkptFormatVersion)
-        fail("format version " + std::to_string(h.version) +
-             " != supported versions " +
-             std::to_string(kCkptMinReadVersion) + "-" +
-             std::to_string(kCkptFormatVersion));
-    mode_ = h.version == 2 ? Mode::kImageV2 : Mode::kImageV3;
-    h.fingerprint = rawU64("header fingerprint");
-    h.workload = rawString("header workload");
-    h.component = rawString("header component");
-    h.retired = rawU64("header retired count");
-    return h;
-}
-
-CkptHeader
-CkptReader::readManifest()
-{
     CkptHeader h;
     h.version = rawU32("manifest version");
     if (h.version != kCkptFormatVersion)
@@ -405,12 +319,9 @@ CkptReader::readManifest()
     h.component = rawString("manifest component");
     h.retired = rawU64("manifest retired count");
     store_dir_ = ckptDirOf(path_) + "/" + rawString("manifest store path");
+    // No reserve(nsec): a corrupt count just runs into the end of the
+    // file, one entry at a time.
     std::uint32_t nsec = rawU32("manifest section count");
-    // A manifest entry is ≥ 37 bytes on disk; an nsec the file cannot
-    // hold is corruption, not a gigantic resize request.
-    if (nsec > size_ / 37)
-        fail("implausible manifest section count " + std::to_string(nsec));
-    entries_.reserve(nsec);
     for (std::uint32_t i = 0; i < nsec; ++i) {
         ManifestEntry e;
         e.name = rawString("manifest entry name");
@@ -425,9 +336,9 @@ CkptReader::readManifest()
     // anywhere in the manifest (including a blob hash, which would
     // otherwise just look like a missing blob) dies here by name.
     std::uint32_t crc = rawU32("manifest CRC");
-    if (ckptCrc32(data_, pos_ - sizeof crc) != crc)
+    if (ckptCrc32(buf_.data(), pos_ - sizeof crc) != crc)
         fail("manifest CRC mismatch");
-    if (pos_ != size_)
+    if (pos_ != buf_.size())
         fail("trailing bytes after manifest");
     return h;
 }
@@ -436,69 +347,19 @@ void
 CkptReader::beginSection(const std::string& name)
 {
     pfm_assert(!in_section_, "nested checkpoint section '%s'", name.c_str());
-    // Report framing errors against the section we are *trying* to open.
+    // Report errors against the section we are *trying* to open.
     section_ = name;
-
-    if (mode_ == Mode::kManifest) {
-        if (next_entry_ == entries_.size())
-            fail("file ends before section");
-        const ManifestEntry& e = entries_[next_entry_++];
-        if (e.name != name)
-            fail("expected section '" + name + "', found '" + e.name +
-                 "' (section order mismatch)");
-        blob_ = ckptBlobLoad(store_dir_ + "/" + ckptBlobName(e.hash),
-                             e.hash, e.meta, path_, name);
-        sdata_ = blob_->data();
-        spos_ = 0;
-        send_ = blob_->size();
-        in_section_ = true;
-        return;
-    }
-
-    if (pos_ == size_)
+    if (next_entry_ == entries_.size())
         fail("file ends before section");
-    std::string found = rawString("section name");
-    if (found != name)
-        fail("expected section '" + name + "', found '" + found +
+    const ManifestEntry& e = entries_[next_entry_++];
+    if (e.name != name)
+        fail("expected section '" + name + "', found '" + e.name +
              "' (section order mismatch)");
-    std::uint64_t stored_len = rawU64("section length");
-    std::uint32_t crc = rawU32("section CRC");
-    std::uint8_t flags = 0;
-    std::uint64_t raw_len = stored_len;
-    if (mode_ == Mode::kImageV3) {
-        rawBytes(&flags, 1, "section flags");
-        raw_len = rawU64("section raw length");
-    }
-    if (stored_len > size_ - pos_)
-        fail("truncated payload (" + std::to_string(stored_len) +
-             " bytes declared, " + std::to_string(size_ - pos_) +
-             " available)");
-    if (ckptCrc32(data_ + pos_, static_cast<std::size_t>(stored_len)) !=
-        crc)
-        fail("CRC mismatch");
-    if (flags & kCkptBlobCompressed) {
-        // Bound the declared raw length by what the LZ format can
-        // legitimately expand to before trusting it with a resize: a
-        // corrupted length with a high bit set must die here by name,
-        // not as a bad_alloc.
-        if (raw_len > lz::maxRawLen(stored_len))
-            fail("implausible raw length " + std::to_string(raw_len) +
-                 " for " + std::to_string(stored_len) + " stored bytes");
-        sbuf_.resize(static_cast<std::size_t>(raw_len));
-        if (!lz::decompress(data_ + pos_,
-                            static_cast<std::size_t>(stored_len),
-                            sbuf_.data(), sbuf_.size()))
-            fail("corrupt compressed payload");
-        sdata_ = sbuf_.data();
-    } else {
-        if (raw_len != stored_len)
-            fail("raw/stored length mismatch in section frame");
-        // Raw payload: serve in place from the mmap, no copy.
-        sdata_ = data_ + pos_;
-    }
+    blob_ = ckptBlobLoad(store_dir_ + "/" + ckptBlobName(e.hash), e.hash,
+                         e.meta, path_, name);
+    sdata_ = blob_->data();
+    send_ = blob_->size();
     spos_ = 0;
-    send_ = static_cast<std::size_t>(raw_len);
-    pos_ += static_cast<std::size_t>(stored_len);
     in_section_ = true;
 }
 
@@ -546,9 +407,7 @@ CkptReader::getString()
 bool
 CkptReader::atEnd() const
 {
-    if (mode_ == Mode::kManifest)
-        return next_entry_ == entries_.size();
-    return pos_ == size_;
+    return next_entry_ == entries_.size();
 }
 
 } // namespace pfm

@@ -2,23 +2,8 @@
  * @file
  * Versioned, tagged binary checkpoint format for sharded long runs.
  *
- * A checkpoint *image* is a flat byte stream:
- *
- *   header:  magic u64 | format version u32 | config fingerprint u64 |
- *            workload string | component string | retired-at-save u64
- *   section (v2): name string | payload length u64 | CRC32 u32 | payload
- *   section (v3): name string | stored length u64 | CRC32 u32 (of stored
- *                 bytes) | flags u8 | raw length u64 | stored bytes
- *   ...      (sections in a fixed order; the reader names the section it
- *             expects, so an order mismatch is caught by name)
- *
- * v3 sections are self-describing: flags bit 0 marks the stored bytes as
- * lz-compressed (common/lz.h); with it clear, stored == raw and the
- * reader serves the payload in place from the mmap — the zero-copy fast
- * path plain images keep by default. The writer can also save in *store*
- * mode (setStore()): each section payload becomes a content-addressed
- * blob in a shared store directory, and the checkpoint file is a tiny
- * manifest referencing blobs by FNV-1a hash — see ckpt_store.h:
+ * A checkpoint is a tiny *manifest* file plus one content-addressed blob
+ * per section payload in a store directory next to it (ckpt_store.h):
  *
  *   manifest: manifest-magic u64 | version u32 | fingerprint u64 |
  *             workload string | component string | retired u64 |
@@ -27,15 +12,19 @@
  *                           raw CRC32 u32 | flags u8 | stored length u64 }
  *             | manifest CRC32 u32 (over everything before it)
  *
- * CkptReader dispatches on the leading magic and serves all three
- * layouts (v2 image, v3 image, manifest) behind one section API.
+ * Sections come in a fixed order; the reader names the section it
+ * expects, so an order mismatch is caught by name. Each blob is keyed by
+ * the FNV-1a hash of its raw payload and stored lz-compressed (common/
+ * lz.h) when that is smaller, which the per-blob flags record. Configs
+ * sharing a warmup image therefore share its blobs.
  *
  * Strings are u32 length + bytes. Every multi-byte value is host-endian;
  * checkpoints are an intra-machine hand-off between sweep legs, not an
  * interchange format. All read-side validation failures (truncation, CRC
  * mismatch, wrong version, unexpected section name, over-/under-read of a
- * payload) are pfm_fatal with the checkpoint path and offending section —
- * a corrupt file must never crash or silently misload.
+ * payload, a whole-image file from an older build) are pfm_fatal with the
+ * checkpoint path and offending section — a corrupt file must never crash
+ * or silently misload.
  *
  * Adding state: bump kCkptFormatVersion whenever a section's payload
  * layout changes or a section is added/removed, and keep save/load
@@ -58,35 +47,20 @@
 namespace pfm {
 
 /**
- * Bump on any layout change; readers reject versions outside
- * [kCkptMinReadVersion, kCkptFormatVersion]. The writer always emits the
- * current version.
- * v2: agent queues serialize through TimedPort (payload + avail + pushed
- * stamps per entry); packets no longer carry their own avail field.
- * v3: section framing gains flags + raw-length fields (per-section
- * compression); adds the content-addressed manifest layout.
+ * Bump on any layout change; readers reject every other version. v3 is
+ * the manifest + blob-store layout.
  */
 constexpr std::uint32_t kCkptFormatVersion = 3;
 
-/** Oldest image version still readable (v2 section payloads unchanged). */
-constexpr std::uint32_t kCkptMinReadVersion = 2;
-
 /**
- * Compression policy from the PFM_CKPT_COMPRESS env knob: "0" never,
- * any other value always, unset = compress in store mode only (plain
- * images stay raw so the mmap path serves sections zero-copy).
+ * "PFMCKPT\0" little-endian: the magic of the retired whole-image layout.
+ * The writer never emits it; the reader recognises it only to reject such
+ * a file by name.
  */
-bool ckptCompressEnabled(bool store_mode);
-
-/**
- * Store policy from the PFM_CKPT_STORE env knob: "0" makes sharded
- * sweeps and the daemon fall back to plain whole-image checkpoints;
- * anything else (including unset) keeps the content-addressed store on.
- */
-bool ckptStoreEnabled();
-
-/** "PFMCKPT\0" little-endian. */
 constexpr std::uint64_t kCkptMagic = 0x0054504b434d4650ull;
+
+/** Blob directory used when a save names none, next to the manifest. */
+inline constexpr const char* kCkptDefaultStore = "ckpt_blobs";
 
 /** CRC-32 (IEEE 802.3, reflected poly 0xEDB88320) of @p n bytes. */
 std::uint32_t ckptCrc32(const void* data, std::size_t n) noexcept;
@@ -133,23 +107,17 @@ struct CkptHeader {
 
 /**
  * Serializer. Accumulates raw section payloads in memory; finish()
- * assembles and writes the image (or manifest + blobs) atomically via
- * temp + rename and is fatal on any I/O error.
+ * publishes one blob per section and writes the manifest atomically via
+ * temp + rename, and is fatal on any I/O error.
  */
 class CkptWriter
 {
   public:
-    explicit CkptWriter(std::string path);
-
     /**
-     * Save in content-addressed store mode: section payloads go to blobs
-     * under `<dir of path>/<subdir>` and the file at path becomes a
-     * manifest. Must be called before finish(); empty reverts to image.
+     * Blobs go to `<dir of path>/<store_subdir>`, or to kCkptDefaultStore
+     * there when @p store_subdir is empty.
      */
-    void setStore(std::string subdir) { store_rel_ = std::move(subdir); }
-
-    /** Compress section payloads (kept only when actually smaller). */
-    void setCompress(bool on) { compress_ = on; }
+    explicit CkptWriter(std::string path, std::string store_subdir = "");
 
     void writeHeader(const CkptHeader& h);
 
@@ -200,7 +168,7 @@ class CkptWriter
             put(v);
     }
 
-    /** Flush the image or manifest to disk. No further use after this. */
+    /** Publish the blobs, then the manifest. No further use after this. */
     void finish();
 
     const std::string& path() const { return path_; }
@@ -217,8 +185,7 @@ class CkptWriter
     CkptHeader hdr_;
     std::vector<std::uint8_t> out_; ///< concatenated raw section payloads
     std::vector<Sec> secs_;
-    std::string store_rel_;         ///< non-empty = manifest + blob store
-    bool compress_ = false;
+    std::string store_rel_;         ///< blob dir, relative to path_'s dir
     std::size_t sec_start_ = 0;     ///< offset of the open section's payload
     std::string section_;
     bool in_section_ = false;
@@ -226,24 +193,21 @@ class CkptWriter
 };
 
 /**
- * Deserializer. Loads the whole file up front; every accessor validates
- * bounds against the declared section payload and dies with the section
- * name on any inconsistency.
+ * Deserializer. Parses the whole manifest up front; sections are served
+ * from their blobs, and every accessor validates bounds against the
+ * section payload and dies with the section name on any inconsistency.
  */
 class CkptReader
 {
   public:
     explicit CkptReader(std::string path);
-    ~CkptReader();
-    CkptReader(const CkptReader&) = delete;
-    CkptReader& operator=(const CkptReader&) = delete;
 
     /** Parse and validate magic + version; fatal on mismatch. */
     CkptHeader readHeader();
 
     /**
      * Open the next section, which must be named @p name (order is part
-     * of the format), and verify its length bounds and CRC.
+     * of the format), and load its blob (verified by ckptBlobLoad).
      */
     void beginSection(const std::string& name);
 
@@ -311,9 +275,6 @@ class CkptReader
     const std::string& path() const { return path_; }
 
   private:
-    /** Layout found behind the leading magic, set by readHeader(). */
-    enum class Mode { kImageV2, kImageV3, kManifest };
-
     /** One parsed manifest entry, consumed in order by beginSection(). */
     struct ManifestEntry {
         std::string name;
@@ -326,45 +287,30 @@ class CkptReader
     /** Element count sanity: must fit in the bytes left in the section. */
     void checkCount(std::uint64_t n, std::size_t elem_size);
 
-    /** Raw read from the file buffer (header parsing, section framing). */
+    /** Raw read from the manifest bytes. */
     void rawBytes(void* p, std::size_t n, const char* what);
     std::uint32_t rawU32(const char* what);
     std::uint64_t rawU64(const char* what);
     std::string rawString(const char* what);
 
-    /** Parse the manifest body (after the magic); fills entries_. */
-    CkptHeader readManifest();
-
     std::string path_;
-    /**
-     * The image is mmap'd read-only when possible: concurrent sweep legs
-     * restoring the same warmup checkpoint then share the kernel page
-     * cache instead of each copying the file into a private heap buffer.
-     * buf_ is the fallback when mmap is unavailable (empty file, exotic
-     * filesystem); data_/size_ point at whichever backing is active.
-     */
-    std::vector<std::uint8_t> buf_;
-    void* map_ = nullptr;          ///< mmap base (nullptr = buf_ active)
-    const std::uint8_t* data_ = nullptr;
-    std::size_t size_ = 0;
-    std::size_t pos_ = 0;          ///< cursor into data_
+    std::vector<std::uint8_t> buf_; ///< the whole manifest file
+    std::size_t pos_ = 0;           ///< cursor into buf_
 
-    Mode mode_ = Mode::kImageV2;
-    std::vector<ManifestEntry> entries_; ///< manifest mode only
+    std::vector<ManifestEntry> entries_;
     std::size_t next_entry_ = 0;
-    std::string store_dir_;              ///< resolved blob directory
+    std::string store_dir_;         ///< resolved blob directory
 
     /**
-     * Open-section serving state, decoupled from the file cursor: raw
-     * image sections serve in place from the mmap (sdata_ points into
-     * data_), compressed ones from sbuf_, manifest sections from the
-     * shared blob buffer pinned by blob_ for the section's lifetime.
+     * Open section: its payload is the shared blob buffer pinned by
+     * blob_ for the section's lifetime. sdata_/send_ cache its bounds so
+     * the per-value reads skip the shared_ptr indirection; spos_ is the
+     * cursor.
      */
-    const std::uint8_t* sdata_ = nullptr;
-    std::size_t spos_ = 0;
-    std::size_t send_ = 0;
-    std::vector<std::uint8_t> sbuf_;
     std::shared_ptr<const std::vector<std::uint8_t>> blob_;
+    const std::uint8_t* sdata_ = nullptr;
+    std::size_t send_ = 0;
+    std::size_t spos_ = 0;
     std::string section_;
     bool in_section_ = false;
 };

@@ -397,15 +397,6 @@ struct Cursor {
         return true;
     }
 
-    bool
-    skip(std::size_t sz)
-    {
-        if (sz > n - off)
-            return false;
-        off += sz;
-        return true;
-    }
-
     template <typename T>
     bool
     get(T& v)
@@ -446,69 +437,37 @@ inspectCkptFile(const std::string& path)
 
     Cursor c{file.data.data(), file.data.size()};
     std::uint64_t magic;
-    if (!c.get(magic))
+    if (!c.get(magic) || magic != kCkptManifestMagic)
         return info;
 
-    if (magic == kCkptManifestMagic) {
-        // Manifest: header fields, store subdir, then per-section entries.
-        CkptFileInfo m;
-        m.manifest = true;
-        m.file_bytes = info.file_bytes;
-        std::string workload;
-        std::string component;
-        std::string store_rel;
-        std::uint64_t u64;
-        std::uint32_t nsec;
-        if (!c.get(m.version) || !c.get(u64) || !c.getString(workload) ||
-            !c.getString(component) || !c.get(u64) ||
-            !c.getString(store_rel) || !c.get(nsec))
-            return info;
-        const std::string store_dir = ckptDirOf(path) + "/" + store_rel;
-        for (std::uint32_t i = 0; i < nsec; ++i) {
-            std::string name;
-            CkptBlobRef ref;
-            CkptBlobMeta meta;
-            if (!c.getString(name) || !c.get(ref.hash) ||
-                !c.get(meta.raw_len) || !c.get(meta.raw_crc) ||
-                !c.get(meta.flags) || !c.get(meta.stored_len))
-                return info;
-            ref.stored_len = meta.stored_len;
-            ref.path = store_dir + "/" + ckptBlobName(ref.hash);
-            m.logical_bytes += meta.raw_len;
-            m.blobs.push_back(std::move(ref));
-        }
-        return m;
-    }
-
-    if (magic != kCkptMagic)
-        return info;
-
-    // Plain image: walk the section frames and sum raw payload bytes.
-    CkptFileInfo img;
-    img.file_bytes = info.file_bytes;
-    std::string s;
+    // Header fields, store subdir, then per-section entries.
+    CkptFileInfo m;
+    m.manifest = true;
+    m.file_bytes = info.file_bytes;
+    std::string workload;
+    std::string component;
+    std::string store_rel;
     std::uint64_t u64;
-    if (!c.get(img.version) || !c.get(u64) || !c.getString(s) ||
-        !c.getString(s) || !c.get(u64))
+    std::uint32_t nsec;
+    if (!c.get(m.version) || !c.get(u64) || !c.getString(workload) ||
+        !c.getString(component) || !c.get(u64) || !c.getString(store_rel) ||
+        !c.get(nsec))
         return info;
-    if (img.version != 2 && img.version != 3)
-        return info;
-    while (c.off < c.n) {
-        std::uint64_t stored_len;
-        std::uint32_t crc;
-        if (!c.getString(s) || !c.get(stored_len) || !c.get(crc))
+    const std::string store_dir = ckptDirOf(path) + "/" + store_rel;
+    for (std::uint32_t i = 0; i < nsec; ++i) {
+        std::string name;
+        CkptBlobRef ref;
+        CkptBlobMeta meta;
+        if (!c.getString(name) || !c.get(ref.hash) || !c.get(meta.raw_len) ||
+            !c.get(meta.raw_crc) || !c.get(meta.flags) ||
+            !c.get(meta.stored_len))
             return info;
-        std::uint64_t raw_len = stored_len;
-        if (img.version >= 3) {
-            std::uint8_t flags;
-            if (!c.get(flags) || !c.get(raw_len))
-                return info;
-        }
-        if (!c.skip(static_cast<std::size_t>(stored_len)))
-            return info;
-        img.logical_bytes += raw_len;
+        ref.stored_len = meta.stored_len;
+        ref.path = store_dir + "/" + ckptBlobName(ref.hash);
+        m.logical_bytes += meta.raw_len;
+        m.blobs.push_back(std::move(ref));
     }
-    return img;
+    return m;
 }
 
 } // namespace pfm

@@ -1,6 +1,6 @@
 /**
  * @file
- * Content-addressed blob store backing checkpoint format v3 manifests.
+ * Content-addressed blob store behind every checkpoint manifest.
  *
  * A store directory holds one file per unique section payload, named by
  * the FNV-1a 64 hash of the raw (uncompressed) bytes:
@@ -9,11 +9,11 @@
  *             stored_len u64 | stored bytes
  *
  * flags bit 0 set means the stored bytes are lz-compressed (common/lz.h);
- * clear means they are the raw payload verbatim. A checkpoint saved in
- * store mode is a tiny *manifest* referencing blobs by hash, so a sweep of
- * N configs sharing one bare-core warmup keeps the multi-megabyte engine
- * image once and pays only per-config deltas (see checkpoint.h for the
- * manifest layout, DESIGN.md "Checkpoint store" for the rationale).
+ * clear means they are the raw payload verbatim. A checkpoint is a tiny
+ * *manifest* referencing blobs by hash, so a sweep of N configs sharing
+ * one bare-core warmup keeps the multi-megabyte engine image once and
+ * pays only per-config deltas (see checkpoint.h for the manifest layout,
+ * DESIGN.md "Checkpoint store" for the rationale).
  *
  * Writes are atomic (temp + rename) and idempotent: a blob that already
  * exists is verified against the expected header instead of rewritten,
@@ -23,9 +23,7 @@
  *
  * Reads go through a small process-wide hot-blob cache: each blob is
  * loaded and decompressed once into an anonymous buffer and then shared
- * (shared_ptr) across every concurrent restore that references it — the
- * store-mode analogue of the mmap page-cache sharing the plain image path
- * gets for free.
+ * (shared_ptr) across every concurrent restore that references it.
  */
 
 #ifndef PFM_SIM_CKPT_STORE_H
@@ -125,9 +123,9 @@ struct CkptBlobRef {
 
 /**
  * What a checkpoint file costs, for cache accounting. file_bytes is the
- * manifest or image itself; logical_bytes is the uncompressed payload
- * total a v2 whole image would have held; blobs lists referenced store
- * files (empty for plain images, whose bytes are all in file_bytes).
+ * manifest itself; logical_bytes is the uncompressed section payload
+ * total, what an undeduplicated copy would hold; blobs lists the
+ * referenced store files.
  */
 struct CkptFileInfo {
     bool manifest = false;
@@ -138,11 +136,11 @@ struct CkptFileInfo {
 };
 
 /**
- * Lenient inspection of the checkpoint (image or manifest) at @p path for
- * byte accounting. Never fatal: an unreadable or unrecognized file
- * reports its plain size as both file_bytes and logical_bytes — the
- * daemon cache charges *something* sane even for files it did not write
- * (tests stub cache entries with junk payloads).
+ * Lenient inspection of the manifest at @p path for byte accounting.
+ * Never fatal: an unreadable or unrecognized file reports its plain size
+ * as both file_bytes and logical_bytes, with no blobs — the daemon cache
+ * charges *something* sane even for files it did not write (tests stub
+ * cache entries with junk payloads).
  */
 CkptFileInfo inspectCkptFile(const std::string& path);
 

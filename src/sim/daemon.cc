@@ -31,9 +31,9 @@ struct WarmupCache::Entry {
     std::string path;
     enum class State { kWarming, kReady, kFailed } state = State::kWarming;
     std::string error;       ///< kFailed: what the producing warmup threw
-    std::uint64_t bytes = 0; ///< the checkpoint file itself (manifest or
-                             ///  whole image; shared blobs charged apart)
-    std::uint64_t logical = 0;         ///< uncompressed whole-image cost
+    std::uint64_t bytes = 0; ///< the manifest itself (shared blobs are
+                             ///  charged apart)
+    std::uint64_t logical = 0;         ///< uncompressed section bytes
     std::vector<std::string> blobs;    ///< store blob paths referenced
     unsigned pins = 0;       ///< live leases; evict/delete only at zero
     std::uint64_t lru = 0;   ///< last-touch tick
@@ -182,7 +182,7 @@ WarmupCache::acquire(const std::string& key,
 
     // Accounting inspection is best-effort (tests stub cache entries with
     // junk payloads): an unrecognized file is charged at its plain size
-    // with no blob references, exactly like a whole image.
+    // with no blob references.
     CkptFileInfo info = inspectCkptFile(path);
 
     lk.lock();
@@ -575,8 +575,8 @@ DaemonServer::serveConnection(const std::shared_ptr<ConnState>& st)
         } else if (cmd == "stats") {
             DaemonCacheStats s = cacheStats();
             // saved_bytes = what compression + dedup are buying right now:
-            // the whole-image cost of the resident entries minus what they
-            // actually occupy on disk.
+            // the uncompressed, undeduplicated cost of the resident entries
+            // minus what they actually occupy on disk.
             std::uint64_t saved = s.logical_bytes > s.bytes
                 ? s.logical_bytes - s.bytes
                 : 0;
@@ -843,25 +843,8 @@ DaemonServer::runLeg(const LegTask& task)
                     return stopping_.load() || st->cancelled.load();
                 };
                 SweepResult res = runSweepLeg(run, "", lease.path());
-                BenchJsonRow row;
-                row.label = task.label;
-                row.ipc = res.sim.ipc;
-                row.mpki = res.sim.mpki;
-                row.cycles = res.sim.cycles;
-                row.instructions = res.sim.instructions;
-                row.wall_ms = res.wall_ms;
-                row.ports = res.sim.ports;
-                if (res.sim.has_pf) {
-                    row.has_pf = true;
-                    row.pf_issued = res.sim.pf_issued;
-                    row.pf_useful = res.sim.pf_useful;
-                    row.pf_useless = res.sim.pf_useless;
-                    row.pf_late = res.sim.pf_late;
-                    row.pf_inflight = res.sim.pf_inflight;
-                    row.pf_coverage_pct = res.sim.pf_coverage_pct;
-                    row.pf_accuracy_pct = res.sim.pf_accuracy_pct;
-                }
-                out.json = formatBenchJsonRow(row, /*include_wall=*/false);
+                out.json = formatBenchJsonRow(
+                    benchJsonRow(task.label, res.sim), /*include_wall=*/false);
                 out.wall_ms = res.wall_ms;
                 out.ok = true;
             }
@@ -893,11 +876,11 @@ DaemonServer::warmFor(const SimOptions& leg_opt, const std::string& path)
     // A bare-core warmup leg, exactly as SweepSpec::addWarmup would run
     // it: warm, reset stats, save at the boundary, skip measurement. The
     // saved header carries the bare fingerprint, so any leg on this key
-    // restores it regardless of component/PFM parameters. Saved through
-    // the content-addressed store by default: keys sharing section
-    // payloads (above all, keys differing only in warmup-irrelevant
-    // geometry) dedup against one blob set, and the LRU budget holds
-    // several times more keys for the same bytes.
+    // restores it regardless of component/PFM parameters. Keys sharing
+    // section payloads (above all, keys differing only in
+    // warmup-irrelevant geometry) dedup against one blob set in this
+    // daemon's store, so the LRU budget holds several times more keys
+    // for the same bytes.
     SweepRun warm;
     warm.label = "warmup";
     warm.opt = leg_opt;
@@ -905,8 +888,7 @@ DaemonServer::warmFor(const SimOptions& leg_opt, const std::string& path)
     warm.opt.defer_component = false;
     warm.opt.checkpoint_load.clear();
     warm.opt.cancel_poll = [this] { return stopping_.load(); };
-    runSweepLeg(warm, path, "",
-                ckptStoreEnabled() ? daemonStoreSubdir() : std::string());
+    runSweepLeg(warm, path, "", daemonStoreSubdir());
 }
 
 } // namespace pfm

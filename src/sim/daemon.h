@@ -11,8 +11,8 @@
  * image is looked up in the cache under its *bare-core* config
  * fingerprint — the key under which PR 4 proved warmup checkpoints are
  * shareable across component/PFM parameters — and restored through the
- * existing read-only mmap path, so N concurrent legs on the same key
- * share kernel page cache and pay one warmup between them.
+ * checkpoint store's hot-blob cache, so N concurrent legs on the same key
+ * share one decoded copy and pay one warmup between them.
  *
  * Robustness properties the tests pin down:
  *  - single-flight warmup: concurrent cache misses on one key block on
@@ -77,7 +77,7 @@ struct DaemonCacheStats {
                                   ///  unique store blobs, each counted once)
     std::uint64_t entries = 0;    ///< resident images
     std::uint64_t logical_bytes = 0; ///< what the same entries would cost
-                                     ///  as uncompressed whole images
+                                     ///  uncompressed and undeduplicated
     std::uint64_t blobs = 0;      ///< unique store blobs resident
 };
 
@@ -98,8 +98,7 @@ class WarmupCache
 
     /**
      * Pin on a ready image. While any lease is live the entry cannot be
-     * evicted and its file cannot be deleted; restores mmap it read-only
-     * so concurrent leases share page cache.
+     * evicted and neither its manifest nor its blobs can be deleted.
      */
     class Lease
     {

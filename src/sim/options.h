@@ -75,12 +75,12 @@ struct SimOptions {
     std::string record_trace;
 
     /**
-     * Non-empty: checkpoint_save writes a content-addressed manifest
-     * whose section payloads live as deduplicated (and, by default,
-     * compressed) blobs under `<ckpt dir>/<ckpt_store>` — see
-     * ckpt_store.h. Loads need no flag: the reader dispatches on the
-     * file's magic. Excluded from the config fingerprint: storage layout
-     * does not shape machine state.
+     * Blob directory for checkpoint_save, relative to the checkpoint's
+     * own directory: section payloads live there as deduplicated,
+     * compressed blobs (ckpt_store.h). Empty means kCkptDefaultStore.
+     * Loads need no flag: the manifest names its blob directory.
+     * Excluded from the config fingerprint: storage location does not
+     * shape machine state.
      */
     std::string ckpt_store;
 

@@ -402,10 +402,7 @@ Simulator::run()
 void
 Simulator::saveCheckpoint(const std::string& path)
 {
-    CkptWriter w(path);
-    if (!opt_.ckpt_store.empty())
-        w.setStore(opt_.ckpt_store);
-    w.setCompress(ckptCompressEnabled(!opt_.ckpt_store.empty()));
+    CkptWriter w(path, opt_.ckpt_store);
     CkptHeader h;
     h.version = kCkptFormatVersion;
     // sourceFingerprint() lets an instruction source fold extra identity

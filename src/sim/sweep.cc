@@ -55,6 +55,27 @@ runSweepLeg(const SweepRun& run, const std::string& save_path,
     return res;
 }
 
+BenchJsonRow
+benchJsonRow(const std::string& label, const SimResult& r)
+{
+    BenchJsonRow row;
+    row.label = label;
+    row.ipc = r.ipc;
+    row.mpki = r.mpki;
+    row.cycles = r.cycles;
+    row.instructions = r.instructions;
+    row.ports = r.ports;
+    row.has_pf = r.has_pf;
+    row.pf_issued = r.pf_issued;
+    row.pf_useful = r.pf_useful;
+    row.pf_useless = r.pf_useless;
+    row.pf_late = r.pf_late;
+    row.pf_inflight = r.pf_inflight;
+    row.pf_coverage_pct = r.pf_coverage_pct;
+    row.pf_accuracy_pct = r.pf_accuracy_pct;
+    return row;
+}
+
 RunHandle
 SweepSpec::add(std::string label, SimOptions opt, RunHandle speedup_base)
 {
@@ -168,15 +189,11 @@ SweepRunner::run(const SweepSpec& spec)
     for (std::size_t i = 0; i < runs.size(); ++i)
         phases[runs[i].warmup_only ? 0 : 1].push_back(i);
 
-    // Warmup checkpoints go through the content-addressed store by
-    // default: configs sharing a bare-core image dedup to one blob set
-    // per unique payload instead of N whole images (PFM_CKPT_STORE=0
-    // restores the plain whole-image behaviour).
+    // The warmups share one PID-qualified blob store: configs sharing a
+    // bare-core image dedup to one blob set per unique payload, and the
+    // store is removed with the warmup manifests afterwards.
     const std::string store_subdir =
-        sharded && ckptStoreEnabled()
-            ? "pfm_store_" +
-                  std::to_string(static_cast<unsigned long>(::getpid()))
-            : std::string();
+        "pfm_store_" + std::to_string(static_cast<unsigned long>(::getpid()));
 
     static const std::string kNoPath;
     auto run_one = [&](std::size_t i) {
@@ -237,8 +254,7 @@ SweepRunner::run(const SweepSpec& spec)
         for (const std::string& p : ckpt_path)
             if (!p.empty())
                 std::remove(p.c_str());
-        if (!store_subdir.empty())
-            ckptStoreRemoveDir(dir + "/" + store_subdir);
+        ckptStoreRemoveDir(dir + "/" + store_subdir);
     }
 
     total_wall_ms_ =
@@ -322,24 +338,8 @@ emitBenchJson(const std::string& name, const SweepSpec& spec,
     std::vector<BenchJsonRow> rows;
     rows.reserve(runs.size());
     for (std::size_t i = 0; i < runs.size(); ++i) {
-        BenchJsonRow row;
-        row.label = runs[i].label;
-        row.ipc = results[i].sim.ipc;
-        row.mpki = results[i].sim.mpki;
-        row.cycles = results[i].sim.cycles;
-        row.instructions = results[i].sim.instructions;
+        BenchJsonRow row = benchJsonRow(runs[i].label, results[i].sim);
         row.wall_ms = results[i].wall_ms;
-        row.ports = results[i].sim.ports;
-        if (results[i].sim.has_pf) {
-            row.has_pf = true;
-            row.pf_issued = results[i].sim.pf_issued;
-            row.pf_useful = results[i].sim.pf_useful;
-            row.pf_useless = results[i].sim.pf_useless;
-            row.pf_late = results[i].sim.pf_late;
-            row.pf_inflight = results[i].sim.pf_inflight;
-            row.pf_coverage_pct = results[i].sim.pf_coverage_pct;
-            row.pf_accuracy_pct = results[i].sim.pf_accuracy_pct;
-        }
         if (runs[i].speedup_base.valid()) {
             row.has_speedup = true;
             row.speedup_pct = speedupPct(

@@ -22,6 +22,7 @@
 
 #include "sim/options.h"
 #include "sim/simulator.h"
+#include "sim/stats_io.h"
 
 namespace pfm {
 
@@ -114,14 +115,21 @@ struct SweepResult {
  * sweep leg (the byte-identity guarantee leans on this). A non-empty
  * @p save_path turns the run into a warmup leg (checkpoint saved at the
  * boundary, measurement skipped); a non-empty @p load_path restores from
- * a warmup checkpoint instead of re-running warmup. A non-empty
- * @p store_subdir makes the save a content-addressed manifest with its
- * blobs under that subdir of the checkpoint's directory (ckpt_store.h);
- * loads auto-detect the layout from the file.
+ * a warmup checkpoint instead of re-running warmup. The save publishes
+ * its blobs under @p store_subdir of the checkpoint's directory
+ * (ckpt_store.h; empty = kCkptDefaultStore); a load finds them through
+ * the manifest.
  */
 SweepResult runSweepLeg(const SweepRun& run, const std::string& save_path,
                         const std::string& load_path,
                         const std::string& store_subdir = "");
+
+/**
+ * The BENCH JSON row of one finished run: @p label plus every SimResult
+ * column. wall_ms and speedup_pct are left for the caller, which owns the
+ * timing and the speedup base.
+ */
+BenchJsonRow benchJsonRow(const std::string& label, const SimResult& r);
 
 /**
  * Fixed-size thread-pool executor. Workers pull runs from the spec in

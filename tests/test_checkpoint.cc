@@ -7,14 +7,14 @@
  * the warmup boundary and a second run that restores it must together be
  * indistinguishable from one uninterrupted run — same SimResult, byte-
  * identical stat dumps. Corruption tests: every malformed checkpoint
- * (truncated, bit-flipped, wrong version, reordered sections, trailing
- * garbage, config drift) dies through pfm_fatal naming the checkpoint and
- * the offending section — never a crash or a silent misload. Checked-in
- * fixtures pin the on-disk formats: astar_bare_v3.{ckpt,digest} track the
- * current writer (regenerate with PFM_REGEN_FIXTURES=1 on a format bump),
- * while astar_bare_v2.{ckpt,digest} are frozen — the writer can no longer
- * produce v2, so that pair pins read-back compatibility and is never
- * rewritten. (Store-mode coverage lives in test_ckpt_store.cc.)
+ * (truncated manifest, bit-flipped blob, wrong version, reordered
+ * sections, trailing garbage, config drift, a retired whole-image file)
+ * dies through pfm_fatal naming the checkpoint and the offending section
+ * — never a crash or a silent misload. The checked-in fixture
+ * astar_bare.ckpt + astar_bare_blobs/ + astar_bare.digest pins the
+ * on-disk format (regenerate with PFM_REGEN_FIXTURES=1 on a format bump).
+ * (Store internals — codec, dedup, blob corruption — are covered in
+ * test_ckpt_store.cc.)
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +31,7 @@
 #include <unistd.h>
 
 #include "sim/checkpoint.h"
+#include "sim/ckpt_store.h"
 #include "sim/options.h"
 #include "sim/simulator.h"
 #include "sim/sweep.h"
@@ -42,6 +43,33 @@ std::string
 tmpPath(const std::string& name)
 {
     return ::testing::TempDir() + name;
+}
+
+/**
+ * Each test saves into its own blob directory: concurrent test processes
+ * never share one, and a corruption test's tampered blob stays its own.
+ */
+std::string
+storeOf(const std::string& name)
+{
+    return name + "_blobs";
+}
+
+/** Remove tmpPath(name + ".ckpt") and its blob directory. */
+void
+removeCkpt(const std::string& name)
+{
+    std::remove(tmpPath(name + ".ckpt").c_str());
+    ckptStoreRemoveDir(tmpPath(storeOf(name)));
+}
+
+std::uint64_t
+fileSize(const std::string& path)
+{
+    struct stat st{};
+    return ::stat(path.c_str(), &st) == 0
+        ? static_cast<std::uint64_t>(st.st_size)
+        : 0;
 }
 
 /** Every stat registry the simulator owns, dumped to one string. */
@@ -128,16 +156,23 @@ TEST(Checkpoint, RoundTripIdentityAcrossConfigs)
 {
     for (const CkConfig& cfg : kConfigs) {
         SCOPED_TRACE(cfg.name);
-        const std::string path =
-            tmpPath(std::string("ckpt_rt_") + cfg.name + ".ckpt");
+        const std::string name = std::string("ckpt_rt_") + cfg.name;
+        const std::string path = tmpPath(name + ".ckpt");
 
         Simulator ref(ckOptions(cfg));
         SimResult r_ref = ref.run();
 
         SimOptions save_opt = ckOptions(cfg);
         save_opt.checkpoint_save = path;
+        save_opt.ckpt_store = storeOf(name);
         Simulator saver(save_opt);
         SimResult r_save = saver.run();
+
+        // The store pays for itself on every single config: manifest +
+        // compressed blobs below the logical section bytes (the
+        // sweep-level dedup win on top of this is bench_ckpt_store's).
+        EXPECT_LT(fileSize(path) + ckptStoreDirBytes(tmpPath(storeOf(name))),
+                  inspectCkptFile(path).logical_bytes);
 
         SimOptions load_opt = ckOptions(cfg);
         load_opt.checkpoint_load = path;
@@ -158,7 +193,7 @@ TEST(Checkpoint, RoundTripIdentityAcrossConfigs)
         EXPECT_EQ(r_ref.finished, r_load.finished);
         EXPECT_EQ(dumpAllStats(ref), dumpAllStats(loader));
 
-        std::remove(path.c_str());
+        removeCkpt(name);
     }
 }
 
@@ -180,6 +215,7 @@ TEST(Checkpoint, WarmupOnlyLegPlusMeasurementLegMatchesUninterrupted)
     SimOptions warm = base;
     warm.max_instructions = 0;
     warm.checkpoint_save = path;
+    warm.ckpt_store = storeOf("ckpt_warmleg");
     Simulator warmer(warm);
     warmer.run();
 
@@ -191,7 +227,7 @@ TEST(Checkpoint, WarmupOnlyLegPlusMeasurementLegMatchesUninterrupted)
     EXPECT_EQ(r_ref.cycles, r_load.cycles);
     EXPECT_EQ(r_ref.ipc, r_load.ipc);
     EXPECT_EQ(dumpAllStats(ref), dumpAllStats(loader));
-    std::remove(path.c_str());
+    removeCkpt("ckpt_warmleg");
 }
 
 TEST(Checkpoint, BareWarmupSharedAcrossDeferredConfigs)
@@ -206,6 +242,7 @@ TEST(Checkpoint, BareWarmupSharedAcrossDeferredConfigs)
     warm.warmup_instructions = 4000;
     warm.max_instructions = 0;
     warm.checkpoint_save = path;
+    warm.ckpt_store = storeOf("ckpt_shared");
     Simulator warmer(warm);
     warmer.run();
 
@@ -232,7 +269,7 @@ TEST(Checkpoint, BareWarmupSharedAcrossDeferredConfigs)
         EXPECT_EQ(r_ref.ipc, r_load.ipc);
         EXPECT_EQ(dumpAllStats(ref), dumpAllStats(loader));
     }
-    std::remove(path.c_str());
+    removeCkpt("ckpt_shared");
 }
 
 TEST(Checkpoint, PmpWarmupAndDeferredAttachIdentity)
@@ -249,6 +286,7 @@ TEST(Checkpoint, PmpWarmupAndDeferredAttachIdentity)
     warm.warmup_instructions = 4000;
     warm.max_instructions = 0;
     warm.checkpoint_save = path;
+    warm.ckpt_store = storeOf("ckpt_pmp_defer");
     Simulator warmer(warm);
     warmer.run();
 
@@ -270,32 +308,48 @@ TEST(Checkpoint, PmpWarmupAndDeferredAttachIdentity)
     EXPECT_EQ(r_ref.cycles, r_load.cycles);
     EXPECT_EQ(r_ref.ipc, r_load.ipc);
     EXPECT_EQ(dumpAllStats(ref), dumpAllStats(loader));
-    std::remove(path.c_str());
+    removeCkpt("ckpt_pmp_defer");
 }
 
 TEST(Checkpoint, SavedFilesAreByteIdentical)
 {
     // Determinism of the writer itself: two identical runs must produce
-    // bit-for-bit identical checkpoint files (hash-stable golden fixtures
-    // depend on this; unordered containers are serialized sorted).
-    const std::string p1 = tmpPath("ckpt_det_1.ckpt");
-    const std::string p2 = tmpPath("ckpt_det_2.ckpt");
+    // bit-for-bit identical manifests and blobs (hash-stable golden
+    // fixtures depend on this; unordered containers are serialized
+    // sorted). Each run saves into its own directory so the second save
+    // cannot just dedup against the first one's blobs.
+    const std::string d1 = tmpPath("ckpt_det_1");
+    const std::string d2 = tmpPath("ckpt_det_2");
+    ::mkdir(d1.c_str(), 0755);
+    ::mkdir(d2.c_str(), 0755);
     SimOptions o;
     o.workload = "libquantum";
     o.component = "auto";
     o.warmup_instructions = 5000;
     o.max_instructions = 0;
+    o.ckpt_store = "blobs";
 
-    o.checkpoint_save = p1;
+    o.checkpoint_save = d1 + "/c.ckpt";
     Simulator a(o);
     a.run();
-    o.checkpoint_save = p2;
+    o.checkpoint_save = d2 + "/c.ckpt";
     Simulator b(o);
     b.run();
 
-    EXPECT_EQ(readFile(p1), readFile(p2));
-    std::remove(p1.c_str());
-    std::remove(p2.c_str());
+    EXPECT_EQ(readFile(d1 + "/c.ckpt"), readFile(d2 + "/c.ckpt"));
+    const CkptFileInfo info = inspectCkptFile(d1 + "/c.ckpt");
+    ASSERT_EQ(4u, info.blobs.size()); // engine, memory, core, pfm
+    for (const CkptBlobRef& blob : info.blobs) {
+        const std::string name = blob.path.substr(blob.path.rfind('/'));
+        EXPECT_EQ(readFile(d1 + "/blobs" + name),
+                  readFile(d2 + "/blobs" + name))
+            << name;
+    }
+    for (const std::string& d : {d1, d2}) {
+        std::remove((d + "/c.ckpt").c_str());
+        ckptStoreRemoveDir(d + "/blobs");
+        ::rmdir(d.c_str());
+    }
 }
 
 TEST(Checkpoint, SweepRunnerShardedMatchesSerialReference)
@@ -348,7 +402,7 @@ TEST(Checkpoint, WriterReaderPrimitivesRoundTrip)
     h.component = "comp";
     h.retired = 1234;
 
-    CkptWriter w(path);
+    CkptWriter w(path, storeOf("ckpt_prims"));
     w.writeHeader(h);
     w.beginSection("alpha");
     w.put<std::uint32_t>(7);
@@ -382,21 +436,25 @@ TEST(Checkpoint, WriterReaderPrimitivesRoundTrip)
     EXPECT_EQ(dq, dq2);
     r.endSection();
     EXPECT_TRUE(r.atEnd());
-    std::remove(path.c_str());
+    removeCkpt("ckpt_prims");
 }
 
 // ------------------------------------------------------------ atomic write
 
-/** Minimal valid image via the primitives (no simulator run needed). */
+/**
+ * Minimal valid checkpoint via the primitives (no simulator run needed),
+ * its blobs in storeOf(@p name).
+ */
 void
-writeTinyImage(const std::string& path, std::uint32_t payload)
+writeTinyCheckpoint(const std::string& path, const std::string& name,
+                    std::uint32_t payload)
 {
     CkptHeader h;
     h.fingerprint = 1;
     h.workload = "wl";
     h.component = "comp";
     h.retired = 0;
-    CkptWriter w(path);
+    CkptWriter w(path, storeOf(name));
     w.writeHeader(h);
     w.beginSection("alpha");
     w.put<std::uint32_t>(payload);
@@ -414,10 +472,10 @@ fileExists(const std::string& path)
 TEST(Checkpoint, SuccessfulSaveLeavesNoTempFile)
 {
     const std::string path = tmpPath("ckpt_atomic_clean.ckpt");
-    writeTinyImage(path, 7);
+    writeTinyCheckpoint(path, "ckpt_atomic_clean", 7);
     EXPECT_TRUE(fileExists(path));
     EXPECT_FALSE(fileExists(path + ".tmp"));
-    std::remove(path.c_str());
+    removeCkpt("ckpt_atomic_clean");
 }
 
 TEST(Checkpoint, StaleTempFromInterruptedWriteIsInvisible)
@@ -428,7 +486,7 @@ TEST(Checkpoint, StaleTempFromInterruptedWriteIsInvisible)
     const std::string path = tmpPath("ckpt_atomic_stale.ckpt");
     writeFile(path + ".tmp", {0xDE, 0xAD, 0xBE, 0xEF});
     EXPECT_FALSE(fileExists(path));
-    writeTinyImage(path, 42);
+    writeTinyCheckpoint(path, "ckpt_atomic_stale", 42);
     EXPECT_TRUE(fileExists(path));
     EXPECT_FALSE(fileExists(path + ".tmp"));
     CkptReader r(path);
@@ -437,7 +495,7 @@ TEST(Checkpoint, StaleTempFromInterruptedWriteIsInvisible)
     EXPECT_EQ(42u, r.get<std::uint32_t>());
     r.endSection();
     EXPECT_TRUE(r.atEnd());
-    std::remove(path.c_str());
+    removeCkpt("ckpt_atomic_stale");
 }
 
 // ------------------------------------------------------------- corruption
@@ -459,15 +517,34 @@ smallBareOptions()
     return o;
 }
 
+/** Save tmpPath(@p name + ".ckpt"), blobs in storeOf(@p name). */
 std::string
 saveSmallCheckpoint(const std::string& name)
 {
-    const std::string path = tmpPath(name);
+    const std::string path = tmpPath(name + ".ckpt");
     SimOptions o = smallBareOptions();
     o.checkpoint_save = path;
+    o.ckpt_store = storeOf(name);
     Simulator sim(o);
     sim.run();
     return path;
+}
+
+/**
+ * Flip a stored byte in the middle of section @p index's blob. The
+ * writer ran in this process but only populated files, so the
+ * death-test child reads the tampered bytes from disk, not a cached copy.
+ */
+void
+flipBlobByte(const std::string& ckpt, std::size_t index)
+{
+    const CkptFileInfo info = inspectCkptFile(ckpt);
+    ASSERT_LT(index, info.blobs.size());
+    const std::string& blob = info.blobs[index].path;
+    std::vector<unsigned char> bytes = readFile(blob);
+    ASSERT_GT(bytes.size(), kCkptBlobHeaderBytes);
+    bytes[(kCkptBlobHeaderBytes + bytes.size()) / 2] ^= 0x01;
+    writeFile(blob, bytes);
 }
 
 void
@@ -491,6 +568,8 @@ TEST(CheckpointDeathTest, UnwritableSavePathIsFatalAndLeavesNothing)
     // The temp-file open fails before a single byte lands anywhere; the
     // death-test child shares our filesystem, so the parent can assert
     // neither the final path nor the temp exists afterwards.
+    // The blob directory cannot be created there, so the save dies
+    // before a single byte lands anywhere.
     const std::string path =
         tmpPath("ckpt_no_such_dir") + "/ckpt_unwritable.ckpt";
     SimOptions o = smallBareOptions();
@@ -500,86 +579,115 @@ TEST(CheckpointDeathTest, UnwritableSavePathIsFatalAndLeavesNothing)
             Simulator sim(o);
             sim.run();
         },
-        ::testing::ExitedWithCode(1), "cannot open for writing");
+        ::testing::ExitedWithCode(1), "cannot create store directory");
     EXPECT_FALSE(fileExists(path));
     EXPECT_FALSE(fileExists(path + ".tmp"));
 }
 
 TEST(CheckpointDeathTest, RenameFailureRemovesTempImage)
 {
-    // Final path occupied by a directory: the temp write succeeds but the
-    // rename cannot publish it. The failure path must remove the temp so
-    // an interrupted save leaves no partial image under either name.
+    // Final path occupied by a directory: the blobs and the temp manifest
+    // are written but the rename cannot publish it. The failure path must
+    // remove the temp so an interrupted save leaves no partial manifest
+    // under either name.
     const std::string path = tmpPath("ckpt_rename_blocked");
     ASSERT_EQ(0, ::mkdir(path.c_str(), 0755));
-    EXPECT_EXIT(writeTinyImage(path, 9), ::testing::ExitedWithCode(1),
-                "cannot rename temp image into place");
+    EXPECT_EXIT(writeTinyCheckpoint(path, "ckpt_rename_blocked", 9),
+                ::testing::ExitedWithCode(1),
+                "cannot rename temp manifest into place");
     EXPECT_FALSE(fileExists(path + ".tmp"));
     ::rmdir(path.c_str());
+    ckptStoreRemoveDir(tmpPath(storeOf("ckpt_rename_blocked")));
 }
 
 TEST(CheckpointDeathTest, TruncatedFileIsFatal)
 {
-    const std::string path = saveSmallCheckpoint("ckpt_trunc.ckpt");
+    const std::string path = saveSmallCheckpoint("ckpt_trunc");
     std::vector<unsigned char> bytes = readFile(path);
     bytes.resize(bytes.size() / 2);
     writeFile(path, bytes);
     EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
-                "truncated");
-    std::remove(path.c_str());
+                "truncated while reading manifest");
+    removeCkpt("ckpt_trunc");
 }
 
 TEST(CheckpointDeathTest, FlippedPayloadByteIsFatalWithSectionName)
 {
-    const std::string path = saveSmallCheckpoint("ckpt_flip.ckpt");
-    std::vector<unsigned char> bytes = readFile(path);
-    // The last payload byte in the file belongs to the final ("core")
-    // section; the CRC failure must name it.
-    bytes.back() ^= 0x01;
-    writeFile(path, bytes);
+    const std::string path = saveSmallCheckpoint("ckpt_flip");
+    // Sections are engine, memory, core: tamper the final ("core") one.
+    // A flipped stored byte either breaks the compressed stream or
+    // decodes to bytes failing the raw CRC; the failure must name it.
+    flipBlobByte(path, 2);
     EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
-                "CRC mismatch.*section 'core'");
-    std::remove(path.c_str());
+                "(corrupt compressed blob|CRC mismatch in blob).*"
+                "section 'core'");
+    removeCkpt("ckpt_flip");
 }
 
 TEST(CheckpointDeathTest, WrongVersionTagIsFatal)
 {
-    const std::string path = saveSmallCheckpoint("ckpt_ver.ckpt");
+    const std::string path = saveSmallCheckpoint("ckpt_ver");
     std::vector<unsigned char> bytes = readFile(path);
     // Format version u32 sits right after the u64 magic.
     bytes[8] = 0x63; // version 99
     writeFile(path, bytes);
     EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
                 "format version 99 != supported version");
-    std::remove(path.c_str());
+    removeCkpt("ckpt_ver");
 }
 
 TEST(CheckpointDeathTest, BadMagicIsFatal)
 {
-    const std::string path = saveSmallCheckpoint("ckpt_magic.ckpt");
+    const std::string path = saveSmallCheckpoint("ckpt_magic");
     std::vector<unsigned char> bytes = readFile(path);
     bytes[0] ^= 0xFF;
     writeFile(path, bytes);
     EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
                 "bad magic, not a PFM checkpoint");
+    removeCkpt("ckpt_magic");
+}
+
+TEST(CheckpointDeathTest, LegacyWholeImageIsFatal)
+{
+    // The retired single-file layout: its header (magic, version,
+    // fingerprint, workload, component, retired count) followed by
+    // inline section frames. The reader must refuse it by name.
+    const std::string path = tmpPath("ckpt_legacy.ckpt");
+    std::vector<unsigned char> bytes;
+    auto append = [&bytes](const void* p, std::size_t n) {
+        const auto* b = static_cast<const unsigned char*>(p);
+        bytes.insert(bytes.end(), b, b + n);
+    };
+    const std::uint32_t version = 3;
+    const std::uint64_t fingerprint = 0;
+    const std::uint32_t len = 5;
+    append(&kCkptMagic, sizeof kCkptMagic);
+    append(&version, sizeof version);
+    append(&fingerprint, sizeof fingerprint);
+    append(&len, sizeof len);
+    append("astar", len);
+    bytes.resize(bytes.size() + 64, 0);
+    writeFile(path, bytes);
+    EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
+                "whole-image checkpoint.*re-save it");
     std::remove(path.c_str());
 }
 
 TEST(CheckpointDeathTest, TrailingBytesAreFatal)
 {
-    const std::string path = saveSmallCheckpoint("ckpt_trail.ckpt");
+    const std::string path = saveSmallCheckpoint("ckpt_trail");
     std::vector<unsigned char> bytes = readFile(path);
     bytes.insert(bytes.end(), {1, 2, 3, 4});
     writeFile(path, bytes);
     EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
-                "trailing bytes after the last section");
-    std::remove(path.c_str());
+                "trailing bytes after manifest");
+    removeCkpt("ckpt_trail");
 }
 
 TEST(CheckpointDeathTest, SectionOrderMismatchIsFatal)
 {
     const std::string path = tmpPath("ckpt_order.ckpt");
-    CkptWriter w(path);
+    CkptWriter w(path, storeOf("ckpt_order"));
     w.writeHeader(CkptHeader{});
     w.beginSection("alpha");
     w.put<std::uint32_t>(1);
@@ -594,13 +702,13 @@ TEST(CheckpointDeathTest, SectionOrderMismatchIsFatal)
     EXPECT_EXIT(read_wrong_order(), ::testing::ExitedWithCode(1),
                 "expected section 'beta', found 'alpha' \\(section order "
                 "mismatch\\)");
-    std::remove(path.c_str());
+    removeCkpt("ckpt_order");
 }
 
 TEST(CheckpointDeathTest, UnconsumedSectionBytesAreFatal)
 {
     const std::string path = tmpPath("ckpt_under.ckpt");
-    CkptWriter w(path);
+    CkptWriter w(path, storeOf("ckpt_under"));
     w.writeHeader(CkptHeader{});
     w.beginSection("alpha");
     w.put<std::uint64_t>(42);
@@ -616,13 +724,13 @@ TEST(CheckpointDeathTest, UnconsumedSectionBytesAreFatal)
     };
     EXPECT_EXIT(underread(), ::testing::ExitedWithCode(1),
                 "unconsumed payload bytes.*section 'alpha'");
-    std::remove(path.c_str());
+    removeCkpt("ckpt_under");
 }
 
 TEST(CheckpointDeathTest, ImplausibleElementCountIsFatal)
 {
     const std::string path = tmpPath("ckpt_count.ckpt");
-    CkptWriter w(path);
+    CkptWriter w(path, storeOf("ckpt_count"));
     w.writeHeader(CkptHeader{});
     w.beginSection("alpha");
     w.put<std::uint64_t>(0xFFFFFFFFFFFFull); // count with no bytes behind it
@@ -638,12 +746,12 @@ TEST(CheckpointDeathTest, ImplausibleElementCountIsFatal)
     };
     EXPECT_EXIT(overread(), ::testing::ExitedWithCode(1),
                 "implausible element count.*section 'alpha'");
-    std::remove(path.c_str());
+    removeCkpt("ckpt_count");
 }
 
 TEST(CheckpointDeathTest, WrongWorkloadIsFatal)
 {
-    const std::string path = saveSmallCheckpoint("ckpt_wl.ckpt");
+    const std::string path = saveSmallCheckpoint("ckpt_wl");
     auto load_other = [&path] {
         SimOptions o = smallBareOptions();
         o.workload = "bfs-roads";
@@ -653,12 +761,12 @@ TEST(CheckpointDeathTest, WrongWorkloadIsFatal)
     };
     EXPECT_EXIT(load_other(), ::testing::ExitedWithCode(1),
                 "saved for workload 'astar', not 'bfs-roads'");
-    std::remove(path.c_str());
+    removeCkpt("ckpt_wl");
 }
 
 TEST(CheckpointDeathTest, ComponentPresenceMismatchIsFatal)
 {
-    const std::string path = saveSmallCheckpoint("ckpt_comp.ckpt");
+    const std::string path = saveSmallCheckpoint("ckpt_comp");
     auto load_with_component = [&path] {
         SimOptions o = smallBareOptions();
         o.component = "auto"; // bare checkpoint, component attached now
@@ -668,12 +776,12 @@ TEST(CheckpointDeathTest, ComponentPresenceMismatchIsFatal)
     };
     EXPECT_EXIT(load_with_component(), ::testing::ExitedWithCode(1),
                 "lacks a PFM component but this simulator attached one");
-    std::remove(path.c_str());
+    removeCkpt("ckpt_comp");
 }
 
 TEST(CheckpointDeathTest, ConfigFingerprintDriftIsFatal)
 {
-    const std::string path = saveSmallCheckpoint("ckpt_fp.ckpt");
+    const std::string path = saveSmallCheckpoint("ckpt_fp");
     auto load_other_config = [&path] {
         SimOptions o = smallBareOptions();
         o.core.rob_size = 128; // warmed-up state depends on this
@@ -683,14 +791,14 @@ TEST(CheckpointDeathTest, ConfigFingerprintDriftIsFatal)
     };
     EXPECT_EXIT(load_other_config(), ::testing::ExitedWithCode(1),
                 "config fingerprint");
-    std::remove(path.c_str());
+    removeCkpt("ckpt_fp");
 }
 
 TEST(CheckpointDeathTest, CorruptPmpSectionIsFatalWithSectionName)
 {
     // The PMP tables and prefetch accounting serialize into the trailing
-    // "pfm" section; a flipped payload byte there must die through the
-    // CRC check naming that section, never restore garbage tables.
+    // "pfm" section; a flipped byte in its blob must die through the
+    // blob checks naming that section, never restore garbage tables.
     const std::string path = tmpPath("ckpt_pmp_flip.ckpt");
     SimOptions o;
     o.workload = "lbm";
@@ -698,12 +806,11 @@ TEST(CheckpointDeathTest, CorruptPmpSectionIsFatalWithSectionName)
     o.warmup_instructions = 4000;
     o.max_instructions = 0;
     o.checkpoint_save = path;
+    o.ckpt_store = storeOf("ckpt_pmp_flip");
     Simulator saver(o);
     saver.run();
 
-    std::vector<unsigned char> bytes = readFile(path);
-    bytes.back() ^= 0x01; // last payload byte: the final ("pfm") section
-    writeFile(path, bytes);
+    flipBlobByte(path, 3); // engine, memory, core, pfm
 
     auto load_pmp = [&path] {
         SimOptions lo;
@@ -716,8 +823,9 @@ TEST(CheckpointDeathTest, CorruptPmpSectionIsFatalWithSectionName)
         sim.run();
     };
     EXPECT_EXIT(load_pmp(), ::testing::ExitedWithCode(1),
-                "CRC mismatch.*section 'pfm'");
-    std::remove(path.c_str());
+                "(corrupt compressed blob|CRC mismatch in blob).*"
+                "section 'pfm'");
+    removeCkpt("ckpt_pmp_flip");
 }
 
 TEST(CheckpointDeathTest, UnsupportedComponentSaveIsFatal)
@@ -803,42 +911,31 @@ checkFixtureDigest(const std::string& fixture,
     is >> expected;
     // A mismatch means the simulator's measured-phase behaviour or the
     // checkpoint format changed. If intentional: bump kCkptFormatVersion
-    // when the *format* changed, and regenerate the current-version
-    // fixture pair with PFM_REGEN_FIXTURES=1 (frozen back-compat fixtures
-    // are never rewritten — their digest breaking means the *reader*
-    // regressed).
+    // when the *format* changed, and regenerate the fixture with
+    // PFM_REGEN_FIXTURES=1.
     EXPECT_EQ(expected, digest);
-}
-
-TEST(Checkpoint, GoldenFixtureReportDigest)
-{
-    // The v2 fixture is frozen: the writer only emits v3 now, so this
-    // pair can never be regenerated — it pins v2 read-back compatibility
-    // forever. PFM_REGEN_FIXTURES deliberately does not touch it.
-    const std::string dir = PFM_FIXTURES_DIR;
-    checkFixtureDigest(dir + "/astar_bare_v2.ckpt",
-                       dir + "/astar_bare_v2.digest", false);
 }
 
 TEST(Checkpoint, GoldenFixtureReportDigestV3)
 {
-    // Current-format fixture, saved with compression forced on so the
-    // digest also pins the v3 compressed-frame encoding.
+    // The checked-in manifest + blob directory in the current (v3)
+    // layout; its blobs are compressed, so the digest also pins the
+    // blob encoding.
     const std::string dir = PFM_FIXTURES_DIR;
-    const std::string fixture = dir + "/astar_bare_v3.ckpt";
+    const std::string fixture = dir + "/astar_bare.ckpt";
     const bool regen = std::getenv("PFM_REGEN_FIXTURES") != nullptr;
 
     if (regen) {
-        ::setenv("PFM_CKPT_COMPRESS", "1", 1);
+        ckptStoreRemoveDir(dir + "/astar_bare_blobs");
         SimOptions o = fixtureOptions();
         o.max_instructions = 0;
         o.checkpoint_save = fixture;
+        o.ckpt_store = "astar_bare_blobs";
         Simulator sim(o);
         sim.run();
-        ::unsetenv("PFM_CKPT_COMPRESS");
     }
 
-    checkFixtureDigest(fixture, dir + "/astar_bare_v3.digest", regen);
+    checkFixtureDigest(fixture, dir + "/astar_bare.digest", regen);
 }
 
 } // namespace

@@ -3,10 +3,9 @@
  * Checkpoint store tests: the in-tree LZ codec, content-addressed blob
  * dedup, manifest round-trips, and the corruption surface the store adds
  * (bit-flipped/truncated/missing blobs, tampered manifests, hash
- * collisions). The identity property mirrors test_checkpoint.cc's: a
- * restore from the compressed+deduped store must be indistinguishable —
- * same SimResult, byte-identical stat dumps — from a restore of a plain
- * whole-image checkpoint, across the same 9-config matrix.
+ * collisions). Restore identity against uninterrupted runs is pinned in
+ * test_checkpoint.cc; here a sharded sweep whose legs share one store
+ * warmup must match the same legs run uninterrupted.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,18 +37,6 @@ std::string
 tmpPath(const std::string& name)
 {
     return ::testing::TempDir() + name;
-}
-
-/** Every stat registry the simulator owns, dumped to one string. */
-std::string
-dumpAllStats(Simulator& sim)
-{
-    std::ostringstream os;
-    sim.core().stats().dump(os);
-    sim.memory().stats().dump(os);
-    if (sim.pfm())
-        sim.pfm()->stats().dump(os);
-    return os.str();
 }
 
 std::vector<std::uint8_t>
@@ -242,9 +228,7 @@ void
 writeStoreCkpt(const std::string& path, const std::string& subdir,
                const StorePayload& p)
 {
-    CkptWriter w(path);
-    w.setStore(subdir);
-    w.setCompress(true);
+    CkptWriter w(path, subdir);
     CkptHeader h;
     h.fingerprint = 0x1234;
     h.workload = "unit";
@@ -345,36 +329,6 @@ TEST(CkptStore, SharedSectionsDedupAcrossConfigs)
     ::rmdir(dir.c_str());
 }
 
-TEST(CkptStore, CompressedPlainImageRoundTrips)
-{
-    // setCompress without setStore: a single self-contained v3 image with
-    // compressed section frames (PFM_CKPT_COMPRESS=1 on a plain save).
-    const std::string path = tmpPath("store_img.ckpt");
-    StorePayload p = makePayload(5);
-    CkptWriter w(path);
-    w.setCompress(true);
-    CkptHeader h;
-    h.workload = "unit";
-    h.component = "none";
-    w.writeHeader(h);
-    w.beginSection("engine");
-    w.putVec(p.engine);
-    w.endSection();
-    w.finish();
-
-    EXPECT_LT(fileSize(path), p.engine.size()); // frames actually packed
-
-    CkptReader r(path);
-    EXPECT_EQ(kCkptFormatVersion, r.readHeader().version);
-    std::vector<std::uint8_t> engine;
-    r.beginSection("engine");
-    r.getVec(engine);
-    r.endSection();
-    EXPECT_EQ(p.engine, engine);
-    EXPECT_TRUE(r.atEnd());
-    std::remove(path.c_str());
-}
-
 TEST(CkptStore, InspectReportsCostsAndToleratesJunk)
 {
     const std::string dir = tmpPath("store_inspect");
@@ -429,140 +383,39 @@ TEST(CkptStore, RemoveDirDeletesBlobsAndDirectory)
 
 // ------------------------------------------------------- restore identity
 
-struct CkConfig {
-    const char* name;
-    const char* workload;
-    const char* component;
-    const char* tokens;
-    std::uint64_t warmup;
-    bool fastfwd;
-};
-
-/** Same 9-config spread test_checkpoint.cc pins plain round-trips on. */
-const CkConfig kConfigs[] = {
-    {"astar_bare_ff", "astar", "none", "", 6000, true},
-    {"astar_bare_noff_shortwarm", "astar", "none", "", 3000, false},
-    {"bfs_bare_ff", "bfs-roads", "none", "", 6000, true},
-    {"libq_pf_ff", "libquantum", "auto", "clk4_w4 delay0 queue32 portALL",
-     6000, true},
-    {"libq_pf_noff", "libquantum", "auto", "clk4_w4 delay0 queue32 portALL",
-     6000, false},
-    {"lbm_pf_slow_ff", "lbm", "auto", "clk8_w1 delay8 queue8 portLS1",
-     12000, true},
-    {"milc_pf_ff_longwarm", "milc", "auto", "", 12000, true},
-    {"bwaves_pf_noff", "bwaves", "auto", "", 3000, false},
-    {"leslie_pf_ff_nol1pf", "leslie", "auto", "noL1pf", 6000, true},
-};
-
-SimOptions
-ckOptions(const CkConfig& cfg)
+TEST(CkptStore, ShardedSweepViaStoreMatchesUninterrupted)
 {
-    SimOptions o;
-    o.workload = cfg.workload;
-    o.component = cfg.component;
-    o.warmup_instructions = cfg.warmup;
-    o.max_instructions = 24'000;
-    o.fastfwd = cfg.fastfwd;
-    if (cfg.tokens[0] != '\0')
-        applyTokens(o, cfg.tokens);
-    return o;
-}
-
-TEST(CkptStore, StoreRestoreMatchesPlainRestoreAcrossConfigs)
-{
-    for (const CkConfig& cfg : kConfigs) {
-        SCOPED_TRACE(cfg.name);
-        const std::string plain =
-            tmpPath(std::string("ckpt_sp_") + cfg.name + ".ckpt");
-        const std::string via_store =
-            tmpPath(std::string("ckpt_ss_") + cfg.name + ".ckpt");
-        const std::string subdir =
-            std::string("ckpt_ss_") + cfg.name + "_blobs";
-
-        SimOptions save_plain = ckOptions(cfg);
-        save_plain.checkpoint_save = plain;
-        save_plain.max_instructions = 0;
-        Simulator(save_plain).run();
-
-        SimOptions save_store = ckOptions(cfg);
-        save_store.checkpoint_save = via_store;
-        save_store.ckpt_store = subdir;
-        save_store.max_instructions = 0;
-        Simulator(save_store).run();
-
-        // The store pays for itself on every single config: manifest +
-        // blobs below the whole image (the sweep-level dedup win on top
-        // of this is bench_ckpt_store's claim).
-        EXPECT_LT(fileSize(via_store) +
-                      ckptStoreDirBytes(::testing::TempDir() + subdir),
-                  fileSize(plain));
-
-        SimOptions load_plain = ckOptions(cfg);
-        load_plain.checkpoint_load = plain;
-        Simulator ref(load_plain);
-        SimResult r_plain = ref.run();
-
-        SimOptions load_store = ckOptions(cfg);
-        load_store.checkpoint_load = via_store;
-        Simulator dut(load_store);
-        SimResult r_store = dut.run();
-
-        EXPECT_EQ(r_plain.cycles, r_store.cycles);
-        EXPECT_EQ(r_plain.instructions, r_store.instructions);
-        EXPECT_EQ(r_plain.ipc, r_store.ipc);
-        EXPECT_EQ(r_plain.mpki, r_store.mpki);
-        EXPECT_EQ(r_plain.finished, r_store.finished);
-        EXPECT_EQ(dumpAllStats(ref), dumpAllStats(dut));
-
-        ckptStoreRemoveDir(::testing::TempDir() + subdir);
-        std::remove(plain.c_str());
-        std::remove(via_store.c_str());
-    }
-}
-
-TEST(CkptStore, ShardedSweepViaStoreMatchesPlainCheckpoints)
-{
-    // SweepRunner end-to-end: the same sharded spec run once through the
-    // store (default) and once with PFM_CKPT_STORE=0 (plain whole-image
-    // warmup files) must produce identical measurement rows.
+    // SweepRunner end-to-end: measurement legs sharing one warmup in the
+    // store must produce the same rows as the same legs run
+    // uninterrupted.
     ::setenv("PFM_CKPT_DIR", ::testing::TempDir().c_str(), 1);
-    auto build = [] {
-        SweepSpec spec;
-        SimOptions warm;
-        warm.workload = "libquantum";
-        warm.component = "none";
-        warm.warmup_instructions = 4000;
-        RunHandle w = spec.addWarmup("warm", warm);
-        for (const char* tokens : {"clk4_w4 delay0", "clk8_w1 delay8"}) {
-            SimOptions leg;
-            leg.workload = "libquantum";
-            leg.component = "auto";
-            leg.defer_component = true;
-            leg.warmup_instructions = 4000;
-            leg.max_instructions = 16'000;
-            applyTokens(leg, tokens);
-            spec.addMeasurement(tokens, leg, w);
-        }
-        return spec;
-    };
+    SweepSpec spec;
+    SimOptions warm;
+    warm.workload = "libquantum";
+    warm.component = "none";
+    warm.warmup_instructions = 4000;
+    RunHandle w = spec.addWarmup("warm", warm);
+    std::vector<std::pair<RunHandle, RunHandle>> pairs;
+    for (const char* tokens : {"clk4_w4 delay0", "clk8_w1 delay8"}) {
+        SimOptions leg;
+        leg.workload = "libquantum";
+        leg.component = "auto";
+        leg.defer_component = true;
+        leg.warmup_instructions = 4000;
+        leg.max_instructions = 16'000;
+        applyTokens(leg, tokens);
+        pairs.emplace_back(spec.add(std::string("serial/") + tokens, leg),
+                           spec.addMeasurement(
+                               std::string("sharded/") + tokens, leg, w));
+    }
 
-    SweepRunner store_runner(2);
-    SweepSpec spec = build();
-    store_runner.run(spec);
-    std::vector<SweepResult> via_store = store_runner.results();
-
-    ::setenv("PFM_CKPT_STORE", "0", 1);
-    SweepRunner plain_runner(2);
-    SweepSpec plain_spec = build();
-    plain_runner.run(plain_spec);
-    ::unsetenv("PFM_CKPT_STORE");
+    SweepRunner runner(2);
+    runner.run(spec);
     ::unsetenv("PFM_CKPT_DIR");
 
-    ASSERT_EQ(via_store.size(), plain_runner.results().size());
-    for (std::size_t i = 0; i < via_store.size(); ++i) {
-        SCOPED_TRACE(i);
-        const SimResult& a = via_store[i].sim;
-        const SimResult& b = plain_runner.results()[i].sim;
+    for (const auto& [serial, sharded] : pairs) {
+        const SimResult& a = runner.sim(serial);
+        const SimResult& b = runner.sim(sharded);
         EXPECT_EQ(a.cycles, b.cycles);
         EXPECT_EQ(a.instructions, b.instructions);
         EXPECT_EQ(a.ipc, b.ipc);
@@ -721,40 +574,6 @@ pokeU64(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint64_t v)
 {
     ASSERT_LE(at + 8, bytes.size());
     std::memcpy(bytes.data() + at, &v, 8);
-}
-
-TEST(CkptStoreDeathTest, ImplausibleRawLenInImageFrameIsFatal)
-{
-    // The v3 section frame's raw-length field is not covered by the
-    // payload CRC; a flipped high bit must die by name at the bounds
-    // check, not as a bad_alloc from a petabyte resize.
-    const std::string path = tmpPath("ckpt_rawlen_img.ckpt");
-    CkptWriter w(path);
-    w.setCompress(true);
-    CkptHeader h;
-    h.workload = "unit";
-    h.component = "none";
-    w.writeHeader(h);
-    w.beginSection("engine");
-    w.putVec(makePayload(6).engine);
-    w.endSection();
-    w.finish();
-
-    std::vector<std::uint8_t> bytes = readFile(path);
-    // Frame layout: name, stored_len u64, crc u32, flags u8, raw_len u64.
-    std::size_t name = findBytes(bytes, "engine");
-    ASSERT_NE(std::string::npos, name);
-    pokeU64(bytes, name + 6 + 8 + 4 + 1, 1ull << 63);
-    writeFile(path, bytes);
-
-    auto load = [&] {
-        CkptReader r(path);
-        r.readHeader();
-        r.beginSection("engine");
-    };
-    EXPECT_EXIT(load(), ::testing::ExitedWithCode(1),
-                "implausible raw length");
-    std::remove(path.c_str());
 }
 
 TEST(CkptStoreDeathTest, ImplausibleRawLenInBlobIsFatal)

@@ -41,6 +41,7 @@
 #include "sim/options.h"
 #include "sim/simulator.h"
 #include "sim/stats_io.h"
+#include "sim/sweep.h"
 
 namespace pfm {
 namespace {
@@ -183,15 +184,9 @@ directRow(const std::string& workload, const std::string& component,
         applyTokens(o, tokens);
     o.defer_component = component != "none";
     Simulator sim(o);
-    SimResult res = sim.run();
-    BenchJsonRow row;
-    row.label = tokens.empty() ? "default" : tokens;
-    row.ipc = res.ipc;
-    row.mpki = res.mpki;
-    row.cycles = res.cycles;
-    row.instructions = res.instructions;
-    row.ports = res.ports;
-    return formatBenchJsonRow(row, /*include_wall=*/false);
+    return formatBenchJsonRow(
+        benchJsonRow(tokens.empty() ? "default" : tokens, sim.run()),
+        /*include_wall=*/false);
 }
 
 /** In-process daemon with its own socket + cache dir, stopped on scope exit. */

@@ -91,6 +91,13 @@ struct SweepCase {
     const char* tokens;
 };
 
+// Without this gtest names each case by its raw bytes, i.e. three string
+// pointers, which ASLR moves on every run of the binary.
+void PrintTo(const SweepCase& c, std::ostream* os)
+{
+    *os << c.workload << ' ' << c.component << ' ' << c.tokens;
+}
+
 class NoDeadlockSweep : public ::testing::TestWithParam<SweepCase>
 {};
 

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <random>
 #include <string>
 #include <vector>
@@ -34,15 +33,6 @@ std::string
 tmpPath(const std::string& name)
 {
     return ::testing::TempDir() + name;
-}
-
-std::vector<unsigned char>
-readFile(const std::string& path)
-{
-    std::ifstream is(path, std::ios::binary);
-    EXPECT_TRUE(is.good()) << path;
-    return std::vector<unsigned char>(std::istreambuf_iterator<char>(is),
-                                      std::istreambuf_iterator<char>());
 }
 
 /** One branch event of the synthetic stream. */
@@ -109,14 +99,23 @@ std::vector<unsigned char>
 stateBytes(const Predictor& p, const std::string& name)
 {
     const std::string path = tmpPath(name);
-    CkptWriter w(path);
+    const std::string blobs = name + "_blobs";
+    CkptWriter w(path, blobs);
     w.writeHeader(CkptHeader{});
     w.beginSection("bp");
     p.saveState(w);
     w.endSection();
     w.finish();
-    std::vector<unsigned char> bytes = readFile(path);
+    // Read the raw section payload back; its length is the manifest's
+    // logical byte count.
+    std::vector<unsigned char> bytes(inspectCkptFile(path).logical_bytes);
+    CkptReader r(path);
+    r.readHeader();
+    r.beginSection("bp");
+    r.getBytes(bytes.data(), bytes.size());
+    r.endSection();
     std::remove(path.c_str());
+    ckptStoreRemoveDir(tmpPath(blobs));
     return bytes;
 }
 

@@ -77,6 +77,13 @@ struct CacheGeom {
     unsigned assoc;
 };
 
+// Without this gtest names each case by its raw bytes, whose trailing
+// padding is uninitialised and differs from run to run.
+void PrintTo(const CacheGeom& g, std::ostream* os)
+{
+    *os << g.size << "B_" << g.assoc << "way";
+}
+
 class CacheProperty : public ::testing::TestWithParam<CacheGeom>
 {};
 

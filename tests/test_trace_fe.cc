@@ -25,6 +25,7 @@
 #include "sim/options.h"
 #include "sim/simulator.h"
 #include "sim/stats_io.h"
+#include "sim/sweep.h"
 #include "trace_fe/trace_format.h"
 #include "trace_fe/trace_source.h"
 #include "workloads/registry.h"
@@ -79,22 +80,7 @@ dumpAllStats(Simulator& sim)
 std::string
 benchRow(const std::string& label, const SimResult& r)
 {
-    BenchJsonRow row;
-    row.label = label;
-    row.ipc = r.ipc;
-    row.mpki = r.mpki;
-    row.cycles = r.cycles;
-    row.instructions = r.instructions;
-    row.ports = r.ports;
-    row.has_pf = r.has_pf;
-    row.pf_issued = r.pf_issued;
-    row.pf_useful = r.pf_useful;
-    row.pf_useless = r.pf_useless;
-    row.pf_late = r.pf_late;
-    row.pf_inflight = r.pf_inflight;
-    row.pf_coverage_pct = r.pf_coverage_pct;
-    row.pf_accuracy_pct = r.pf_accuracy_pct;
-    return formatBenchJsonRow(row, /*include_wall=*/false);
+    return formatBenchJsonRow(benchJsonRow(label, r), /*include_wall=*/false);
 }
 
 SimOptions
